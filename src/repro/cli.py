@@ -205,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--protocol-coverage",
         action="store_true",
-        help="account protocol edges in every seed's run; the stderr "
-        "coverage report reflects serially-run seeds (with --jobs > 1 "
-        "the counters stay in the workers)",
+        help="account protocol edges in every seed's run and report, on "
+        "stderr, the edges no seed exercised (counts summed over seeds, "
+        "whatever --jobs)",
     )
 
     validate = action.add_parser(
@@ -621,7 +621,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"obs artifacts: {obs_dir} ({manifest_path})", file=sys.stderr)
             print(f"inspect with: repro report {obs_dir}", file=sys.stderr)
         if args.protocol_coverage:
-            _print_protocol_coverage()
+            _print_protocol_coverage(result.coverage)
         return 0
 
     # sweep
@@ -633,10 +633,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         isolation_check=args.isolation_check,
         protocol_coverage=args.protocol_coverage,
     )
-    if args.protocol_coverage and args.jobs <= 1:
-        # With --jobs > 1 the counters accumulated inside the workers;
-        # a report here would be vacuously empty, so skip it.
-        _print_protocol_coverage()
+    if args.protocol_coverage:
+        _print_protocol_coverage(result.coverage)
     if args.summary:
         print(result.summary_json())
         return 0
@@ -1069,22 +1067,17 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_protocol_coverage() -> None:
-    """After a ``--protocol-coverage`` run: diff the static handler
-    edges against the runtime handled counters. Chatter goes to stderr —
-    ``--summary`` stdout is byte-compared in CI and must stay pure."""
-    from repro.lint import (
-        LintConfig,
-        build_protocol_graph,
-        coverage_snapshot,
-        unexercised_edges,
-    )
+def _print_protocol_coverage(coverage) -> None:
+    """After a ``--protocol-coverage`` run or sweep: diff the static
+    handler edges against the ``coverage`` accountant's handled
+    counters. Chatter goes to stderr — ``--summary`` stdout is
+    byte-compared in CI and must stay pure."""
+    from repro.lint import LintConfig, build_protocol_graph
 
     graph = build_protocol_graph(_default_protocol_paths(), LintConfig.load(None))
-    snapshot = coverage_snapshot()
-    missing = unexercised_edges(graph)
+    missing = coverage.unexercised_edges(graph)
     total = len(graph.handle_edges())
-    handled = sum(snapshot["handled"].values())
+    handled = sum(coverage.handled.values())
     print(
         f"protocol coverage: {total - len(missing)}/{total} static handler "
         f"edges exercised ({handled} handled deliveries)",

@@ -64,7 +64,7 @@ class IsolationError(SimulationError):
     """A message payload was mutated while in flight.
 
     Raised by the runtime payload checker
-    (:func:`repro.lint.isolation.isolation_guard`) when a payload's
+    (:class:`repro.lint.isolation.IsolationChecker`) when a payload's
     structural digest at delivery differs from its digest at
     ``Network.send`` — some code kept a reference to the object after
     sending it and mutated it, violating the shared-nothing ownership

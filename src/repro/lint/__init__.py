@@ -19,9 +19,10 @@ shared-nothing; payload ownership transfers to the network at send):
 * the I-families of ``repro lint`` — cross-node reach-through (I1xx),
   payload aliasing (I2xx), mutation-after-forward (I3xx) and
   callback-capture hazards (I4xx);
-* :func:`~repro.lint.isolation.isolation_guard` — the copy-on-send
-  payload checker (``scenarios run --isolation-check``) that digests
-  every payload at ``Network.send`` and re-verifies it at delivery.
+* :class:`~repro.lint.isolation.IsolationChecker` — the copy-on-send
+  payload checker (``scenarios run --isolation-check``), a hook on one
+  simulation's network that digests every payload at send and
+  re-verifies it at delivery.
 
 A third contract covers protocol *flow* (messages reach a handler, and
 handlers only read fields the message defines):
@@ -30,9 +31,14 @@ handlers only read fields the message defines):
   schema (P2xx), request/reply discipline (P3xx) and dead protocol
   code (P4xx), judged against the whole-program message graph
   (``repro protocol graph`` serialises it);
-* :func:`~repro.lint.coverage.protocol_coverage` — the runtime edge
-  accountant (``scenarios run --protocol-coverage``) that records which
-  static ``(endpoint, message)`` edges a scenario actually exercised.
+* :class:`~repro.lint.coverage.CoverageAccountant` — the runtime edge
+  accountant (``scenarios run --protocol-coverage``), a hook on one
+  simulation's network that records which static
+  ``(endpoint, message)`` edges a scenario actually exercised.
+
+The determinism guard patches ``random`` / ``time``, which are
+process-wide by nature; the other two runtime halves see only the
+simulation whose ``Network.hooks`` they are attached to.
 
 All halves enforce three contracts; DESIGN.md ("Determinism contract &
 static analysis", "Isolation contract", "Protocol graph & flow
@@ -46,19 +52,14 @@ from repro.lint.config import (
     LintConfig,
     baseline_from_violations,
 )
-from repro.lint.coverage import (
-    coverage_snapshot,
-    protocol_coverage,
-    protocol_coverage_active,
-    unexercised_edges,
-)
+from repro.lint.coverage import CoverageAccountant
 from repro.lint.engine import (
     LintResult,
     build_protocol_graph,
     lint_paths,
     lint_source,
 )
-from repro.lint.isolation import isolation_active, isolation_guard, payload_digest
+from repro.lint.isolation import IsolationChecker, payload_digest
 from repro.lint.protograph import MessageDef, ProtocolGraph, SendSite
 from repro.lint.report import format_json, format_text
 from repro.lint.rules import CATALOG, FAMILIES, Rule, Violation
@@ -68,7 +69,9 @@ __all__ = [
     "AllowEntry",
     "BaselineEntry",
     "CATALOG",
+    "CoverageAccountant",
     "FAMILIES",
+    "IsolationChecker",
     "LintConfig",
     "LintResult",
     "MessageDef",
@@ -79,18 +82,12 @@ __all__ = [
     "apply_baseline",
     "baseline_from_violations",
     "build_protocol_graph",
-    "coverage_snapshot",
     "determinism_guard",
     "format_json",
     "format_text",
     "guard_active",
-    "isolation_active",
-    "isolation_guard",
     "lint_paths",
     "lint_source",
     "payload_digest",
-    "protocol_coverage",
-    "protocol_coverage_active",
     "render_policy_toml",
-    "unexercised_edges",
 ]

@@ -1,23 +1,23 @@
 """The runtime half of the isolation contract.
 
 The static I-rules prove no *source line* retains-and-mutates a sent
-payload or reaches through a node boundary; :func:`isolation_guard`
-proves no *code path* does at run time. While the guard is armed, every
-payload accepted by :meth:`~repro.sim.network.Network.send` is
-fingerprinted with a deterministic structural digest, and the digest is
-re-verified the moment the message is delivered (or dropped on a dead
-destination). Any difference means some code kept a reference to the
-object after sending it and mutated it while it was in flight —
-:class:`~repro.errors.IsolationError` is raised naming sender, receiver,
-message type, and both simulated times.
+payload or reaches through a node boundary; :class:`IsolationChecker`
+proves no *code path* does at run time. It is a hook on one
+:class:`~repro.sim.network.Network`: every payload the network puts on
+the wire is fingerprinted with a deterministic structural digest, and
+the digest is re-verified the moment the message is delivered (or
+dropped on a dead destination). Any difference means some code kept a
+reference to the object after sending it and mutated it while it was in
+flight — :class:`~repro.errors.IsolationError` is raised naming sender,
+receiver, message type, and both simulated times.
 
 Design constraints, in order:
 
 * **Trajectory-neutral.** The digest is pure SHA-256 over the payload's
   structure — no ``hash()`` (salted per process), no wall clock, no RNG
-  — and the wrapped methods add no events and change no return values,
-  so a checked run byte-compares against a plain run. The determinism
-  CI matrix enforces exactly that.
+  — and the hook adds no events and changes no return values, so a
+  checked run byte-compares against a plain run. The determinism CI
+  matrix enforces exactly that.
 * **Fan-out aware.** Protocols legitimately send *one* immutable message
   object to several peers (replication re-home, advert fan-out). The
   in-flight registry refcounts by object identity: each send of the same
@@ -25,30 +25,19 @@ Design constraints, in order:
   entry keeps a reference to the object so CPython cannot reuse its id
   while copies are still in flight. Re-sending an object whose content
   changed while copies are in flight trips the same wire.
-* **Re-entrant.** Nested activations patch once and restore once,
-  mirroring :func:`~repro.lint.sanitizer.determinism_guard`.
+* **Scoped to one simulation.** The registry lives on the checker, and
+  the checker sees only the network it is attached to.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.errors import IsolationError
 
-__all__ = ["isolation_active", "isolation_guard", "payload_digest"]
-
-_depth = 0
-_saved: Dict[str, Any] = {}
-# id(msg) -> [msg, digest, refcount, src, dst, kind, sent_at]
-_inflight: Dict[int, list] = {}
-
-
-def isolation_active() -> bool:
-    """Is an :func:`isolation_guard` currently armed?"""
-    return _depth > 0
+__all__ = ["IsolationChecker", "payload_digest"]
 
 
 # ------------------------------------------------------------------ digest
@@ -146,73 +135,54 @@ def _feed(hasher, obj: Any, stack: Set[int]) -> None:
         stack.discard(oid)
 
 
-# ------------------------------------------------------------------- guard
+# ----------------------------------------------------------------- checker
 
 
-def _checked_send(self, src: int, dst: int, msg: Any) -> bool:
-    """``Network.send`` with the in-flight registry armed."""
-    on_wire = _saved["send"](self, src, dst, msg)
-    if on_wire:
+class IsolationChecker:
+    """Copy-on-send payload checker: a hook on one network."""
+
+    def __init__(self) -> None:
+        self.network = None
+        # id(msg) -> [msg, digest, refcount, src, dst, kind, sent_at]
+        self._inflight: Dict[int, list] = {}
+
+    def attach(self, network) -> None:
+        """Check every payload ``network`` carries from now on."""
+        self.network = network
+        network.hooks.append(self)
+
+    def on_send(self, src: int, dst: int, msg: Any, cause: Optional[str]) -> None:
+        if cause is not None:
+            return  # dropped at send: never in flight
+        now = self.network.scheduler.now
         digest = payload_digest(msg)
-        entry = _inflight.get(id(msg))
+        entry = self._inflight.get(id(msg))
         if entry is None:
-            _inflight[id(msg)] = [
-                msg, digest, 1, src, dst, type(msg).__name__,
-                self.scheduler.now,
+            self._inflight[id(msg)] = [
+                msg, digest, 1, src, dst, type(msg).__name__, now,
             ]
         elif entry[1] != digest:
             # The object is being re-sent, but copies already in flight
             # were fingerprinted with different content — the sender
             # mutated it between sends.
             raise IsolationError(
-                entry[3], entry[4], entry[5], entry[6], self.scheduler.now,
+                entry[3], entry[4], entry[5], entry[6], now,
                 detail="object re-sent with different content while "
                 "earlier copies are still in flight",
             )
         else:
             entry[2] += 1
-    return on_wire
 
-
-def _checked_deliver(self, src: int, dst: int, msg: Any, received_kind) -> None:
-    """``Network._deliver`` with the digest re-verified on arrival."""
-    entry = _inflight.get(id(msg))
-    if entry is not None and entry[0] is msg:
-        if payload_digest(msg) != entry[1]:
-            raise IsolationError(
-                src, dst, type(msg).__name__, entry[6], self.scheduler.now
-            )
-        entry[2] -= 1
-        if entry[2] == 0:
-            del _inflight[id(msg)]
-    _saved["_deliver"](self, src, dst, msg, received_kind)
-
-
-@contextmanager
-def isolation_guard() -> Iterator[None]:
-    """Arm the copy-on-send payload checker for the duration of the block.
-
-    Patches :class:`~repro.sim.network.Network` at the *class* level:
-    ``send`` looks its delivery callback up on ``self`` at send time, so
-    every delivery scheduled while the guard is armed resolves to the
-    checked method (traced deliveries delegate to ``_deliver`` and are
-    covered too).
-    """
-    global _depth
-    from repro.sim.network import Network  # deferred: keep lint import light
-
-    if _depth == 0:
-        _saved["send"] = Network.send
-        _saved["_deliver"] = Network._deliver
-        Network.send = _checked_send
-        Network._deliver = _checked_deliver
-    _depth += 1
-    try:
-        yield
-    finally:
-        _depth -= 1
-        if _depth == 0:
-            Network.send = _saved["send"]
-            Network._deliver = _saved["_deliver"]
-            _saved.clear()
-            _inflight.clear()
+    def on_deliver(
+        self, src: int, dst: int, msg: Any, context: Any, sent_at: Optional[float]
+    ) -> None:
+        entry = self._inflight.get(id(msg))
+        if entry is not None and entry[0] is msg:
+            if payload_digest(msg) != entry[1]:
+                raise IsolationError(
+                    src, dst, type(msg).__name__, entry[6],
+                    self.network.scheduler.now,
+                )
+            entry[2] -= 1
+            if entry[2] == 0:
+                del self._inflight[id(msg)]

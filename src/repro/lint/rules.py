@@ -50,9 +50,9 @@ is handed and the sender must not retain-and-mutate.
   ``every`` / ``schedule``) closing over a loop variable (late binding)
   or over a mutable local that keeps changing after scheduling.
 
-The runtime counterpart is :func:`repro.lint.isolation.isolation_guard`
-(``scenarios run --isolation-check``), which digests every payload at
-send and re-verifies it at delivery.
+The runtime counterpart is :class:`repro.lint.isolation.IsolationChecker`
+(``scenarios run --isolation-check``), a network hook that digests every
+payload at send and re-verifies it at delivery.
 
 The P-families police the *protocol flow* (DESIGN.md, "Protocol graph &
 flow analysis"): unlike every rule above, they are whole-program — the
@@ -77,10 +77,10 @@ committed policy always lints ``src`` whole.
   no send and no registration at all.
 
 The runtime counterpart is
-:func:`repro.lint.coverage.protocol_coverage` (``scenarios run
---protocol-coverage``), which counts delivered/handled edges per
-(node class, message type) and reports static edges a run never
-exercised.
+:class:`repro.lint.coverage.CoverageAccountant` (``scenarios run
+--protocol-coverage``), a network hook that counts delivered/handled
+edges per (node class, message type) and reports static edges a run
+never exercised.
 """
 
 from __future__ import annotations

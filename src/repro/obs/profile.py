@@ -22,8 +22,6 @@ from typing import Any, Dict, List
 
 __all__ = ["HotspotProfiler"]
 
-# Delivery handlers worth splitting per message type.
-_DELIVER_LABELS = ("Network._deliver", "Network._deliver_traced")
 
 
 class HotspotProfiler:
@@ -40,7 +38,7 @@ class HotspotProfiler:
         label = getattr(fn, "__qualname__", None)
         if label is None:
             label = type(fn).__name__
-        elif label in _DELIVER_LABELS and len(args) > 2:
+        elif label == "Network._deliver" and len(args) > 2:
             # args = (src, dst, msg, ...): split delivery cost per type.
             label = f"Network._deliver[{type(args[2]).__name__}]"
         entry = self._stats.get(label)

@@ -10,12 +10,14 @@ async spans (``b``/``e``), network hops as complete slices (``X``) on
 the sending node's track with their simulated latency as the duration,
 and drops as instant events (``i``) naming the cause.
 
-Causality is propagated *dynamically*: the issuing runner activates the
-tracer around the synchronous client call, :meth:`Network.send
-<repro.sim.network.Network.send>` tags the scheduled delivery with the
-active trace id, and the traced delivery re-activates the tracer around
-the receiving handler — so cascaded sends (server fan-out, acks) inherit
-the id without any message-class changes. Known limitation: messages
+Causality is propagated *dynamically*: the tracer is a hook on one
+:class:`~repro.sim.network.Network`, and the trace id it activates is
+that network's causal ``context``. The issuing runner activates it
+around the synchronous client call, :meth:`Network.send
+<repro.sim.network.Network.send>` carries it in the scheduled delivery,
+and the delivery re-activates it around the receiving handler — so
+cascaded sends (server fan-out, acks) inherit the id without any
+message-class changes. Known limitation: messages
 issued from *timer* events (client retries, periodic protocol ticks)
 start outside any activation and are not attributed; the trace shows
 first-attempt causality, which is what tail-latency debugging needs.
@@ -54,8 +56,9 @@ class OpTracer:
             raise ConfigurationError(f"trace max_ops must be >= 1, got {max_ops}")
         self.sample_every = sample_every
         self.max_ops = max_ops
-        # The currently active trace id; the network reads this on send.
-        self.active: Optional[int] = None
+        # The network this tracer hooks (see attach); its ``context``
+        # is the active trace id.
+        self.network = None
         self.hops = 0
         self.drops = 0
         self._op_count = 0
@@ -110,41 +113,30 @@ class OpTracer:
         )
 
     @contextmanager
-    def activated(self, trace_id: int) -> Iterator[None]:
+    def activated(self, trace_id: Optional[int]) -> Iterator[None]:
         """Attribute every :meth:`Network.send` inside the block to
         ``trace_id`` (nestable; restores the previous activation)."""
-        previous = self.active
-        self.active = trace_id
+        network = self.network
+        previous = network.context
+        network.context = trace_id
         try:
             yield
         finally:
-            self.active = previous
+            network.context = previous
 
     # --------------------------------------------------------- network hops
 
-    def hop(
-        self, trace_id: int, src: int, dst: int, kind: str,
-        sent_at: float, delivered_at: float,
-    ) -> None:
-        """One delivered message attributed to ``trace_id``."""
-        self.hops += 1
-        self._events.append(
-            {
-                "ph": "X",
-                "cat": "net",
-                "name": kind,
-                "pid": _PID,
-                "tid": src,
-                "ts": _us(sent_at),
-                "dur": _us(delivered_at - sent_at),
-                "args": {"trace": trace_id, "src": src, "dst": dst},
-            }
-        )
+    def attach(self, network) -> None:
+        """Hook ``network``: its sends and deliveries under an active
+        trace id become hops and drops of that trace."""
+        self.network = network
+        network.hooks.append(self)
 
-    def drop(
-        self, trace_id: int, src: int, dst: int, kind: str, cause: str, now: float
-    ) -> None:
-        """One dropped message (partition / loss) attributed to ``trace_id``."""
+    def on_send(self, src: int, dst: int, msg: Any, cause: Optional[str]) -> None:
+        """A dropped message (partition / loss) of the active trace."""
+        trace = self.network.context
+        if trace is None or cause is None:
+            return
         self.drops += 1
         self._events.append(
             {
@@ -153,9 +145,30 @@ class OpTracer:
                 "name": f"drop.{cause}",
                 "pid": _PID,
                 "tid": src,
-                "ts": _us(now),
+                "ts": _us(self.network.scheduler.now),
                 "s": "t",
-                "args": {"trace": trace_id, "kind": kind, "dst": dst},
+                "args": {"trace": trace, "kind": type(msg).__name__, "dst": dst},
+            }
+        )
+
+    def on_deliver(
+        self, src: int, dst: int, msg: Any, context: Optional[int],
+        sent_at: Optional[float],
+    ) -> None:
+        """A delivered message of the trace its send carried."""
+        if context is None:
+            return
+        self.hops += 1
+        self._events.append(
+            {
+                "ph": "X",
+                "cat": "net",
+                "name": type(msg).__name__,
+                "pid": _PID,
+                "tid": src,
+                "ts": _us(sent_at),
+                "dur": _us(self.network.scheduler.now - sent_at),
+                "args": {"trace": context, "src": src, "dst": dst},
             }
         )
 

@@ -34,15 +34,17 @@ Pass ``jobs > 1`` to fan the seeds out over worker processes
 (:class:`~concurrent.futures.ProcessPoolExecutor`): each seed is an
 independent deterministic run, specs and results are plain picklable
 dataclasses, and results are reassembled in seed order, so the sweep's
-aggregate is byte-identical to the serial path.
+aggregate (and its merged protocol coverage) is byte-identical to the
+serial path.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import aggregate_rows
 from repro.analysis.consistency import count_write_losses
@@ -70,6 +72,9 @@ class ScenarioResult:
     scenario: str
     seed: int
     metrics: Dict[str, float]
+    # The run's CoverageAccountant (``protocol_coverage=True``),
+    # reported separately, never part of the summary.
+    coverage: Any = field(default=None, compare=False, repr=False)
 
     def summary_json(self) -> str:
         """Canonical serialisation: sorted keys, fixed float formatting.
@@ -91,6 +96,8 @@ class SweepResult:
     seeds: List[int]
     results: List[ScenarioResult]
     aggregate: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # Every seed's CoverageAccountant, merged.
+    coverage: Any = field(default=None, compare=False, repr=False)
 
     def rows(self) -> List[Dict[str, float]]:
         """One row per seed — ready for ``rows_to_table``."""
@@ -141,23 +148,24 @@ def run_scenario(
     unsanitized one, which the determinism CI matrix proves by
     byte-comparing both.
 
-    ``isolation_check`` arms
-    :func:`repro.lint.isolation.isolation_guard` the same way: every
-    payload is fingerprinted at ``Network.send`` and re-verified at
-    delivery, and any in-flight mutation raises
+    ``isolation_check`` attaches a
+    :class:`~repro.lint.isolation.IsolationChecker` to this run's
+    network: every payload is fingerprinted at ``Network.send`` and
+    re-verified at delivery, and any in-flight mutation raises
     :class:`~repro.errors.IsolationError` naming sender, receiver,
     message type and sim time. The digest is pure SHA-256 — no clock, no
     RNG — so a checked run is byte-identical to a plain one (the
     determinism CI matrix byte-compares them).
 
-    ``protocol_coverage`` arms
-    :func:`repro.lint.coverage.protocol_coverage`: every delivery is
-    accounted per ``(node class, message type)`` edge, and the counters
-    stay readable after the run (:func:`repro.lint.coverage.\
-coverage_snapshot`) so the CLI can report which static protocol edges
-    the scenario never exercised. The accountant only reads state the
-    delivery path reads anyway — a covered run is byte-identical to a
-    plain one (the determinism CI matrix byte-compares them too).
+    ``protocol_coverage`` attaches a
+    :class:`~repro.lint.coverage.CoverageAccountant` to this run's
+    network: every delivery is accounted per ``(node class, message
+    type)`` edge, and the accountant is returned as
+    :attr:`ScenarioResult.coverage` so the CLI can report which static
+    protocol edges the scenario never exercised. The accountant only
+    reads state the delivery path reads anyway — a covered run is
+    byte-identical to a plain one (the determinism CI matrix
+    byte-compares them too). Neither hook sees another simulation.
 
     Runs under :func:`~repro.sim.simulator.relaxed_gc`: simulation
     garbage is acyclic, and default cyclic-GC thresholds cost up to ~3x
@@ -165,34 +173,38 @@ coverage_snapshot`) so the CLI can report which static protocol edges
     the trajectory, so summaries stay byte-identical either way.
     """
     seed = spec.seed if seed is None else seed
-    if sanitize or isolation_check or protocol_coverage:
-        from contextlib import ExitStack
+    hooks: List[Any] = []
+    if isolation_check:
+        from repro.lint.isolation import IsolationChecker
 
-        with ExitStack() as guards:
-            if sanitize:
-                from repro.lint.sanitizer import determinism_guard
+        hooks.append(IsolationChecker())
+    coverage = None
+    if protocol_coverage:
+        from repro.lint.coverage import CoverageAccountant
 
-                guards.enter_context(determinism_guard())
-            if isolation_check:
-                from repro.lint.isolation import isolation_guard
+        coverage = CoverageAccountant()
+        hooks.append(coverage)
+    with ExitStack() as guards:
+        if sanitize:
+            from repro.lint.sanitizer import determinism_guard
 
-                guards.enter_context(isolation_guard())
-            if protocol_coverage:
-                from repro.lint.coverage import (
-                    protocol_coverage as coverage_guard,
-                )
-
-                guards.enter_context(coverage_guard())
-            guards.enter_context(relaxed_gc())
-            return _run_scenario_inner(spec, seed, recorder)
-    with relaxed_gc():
-        return _run_scenario_inner(spec, seed, recorder)
+            guards.enter_context(determinism_guard())
+        guards.enter_context(relaxed_gc())
+        result = _run_scenario_inner(spec, seed, recorder, hooks)
+    if coverage is not None:
+        coverage.detach()
+        result.coverage = coverage
+    return result
 
 
-def _run_scenario_inner(spec: ScenarioSpec, seed: int, recorder=None) -> ScenarioResult:
+def _run_scenario_inner(
+    spec: ScenarioSpec, seed: int, recorder=None, hooks: Sequence[Any] = ()
+) -> ScenarioResult:
     if recorder is not None:
         recorder.begin_phase("deploy")
     sim = Simulation(seed=seed, latency_model=spec.latency.build(), loss_rate=spec.loss_rate)
+    for hook in hooks:
+        hook.attach(sim.network)
     if recorder is not None:
         recorder.attach(sim)
     backend = get_backend(spec.stack).deploy(spec, sim)
@@ -309,12 +321,11 @@ def run_sweep(
     the returned :class:`SweepResult` — including
     :meth:`SweepResult.summary_json` — is byte-identical whatever the
     job count. ``sanitize`` arms the runtime determinism guard,
-    ``isolation_check`` the payload isolation guard, and
+    ``isolation_check`` the payload isolation checker, and
     ``protocol_coverage`` the protocol-edge accountant for every seed's
-    run (see :func:`run_scenario`) — in worker processes too. With
-    ``jobs > 1`` the coverage counters accumulate inside each worker,
-    so after a parallel sweep :func:`repro.lint.coverage.\
-coverage_snapshot` in the parent only reflects serially-run seeds.
+    run (see :func:`run_scenario`) — in worker processes too. Each
+    run's accountant travels back on its result, and
+    :attr:`SweepResult.coverage` is their merge, whatever the job count.
 
     Caveat for custom backends: workers import only :mod:`repro`
     modules, so a backend registered at runtime (``@register_backend``
@@ -350,11 +361,19 @@ coverage_snapshot` in the parent only reflects serially-run seeds.
             )
             for seed in seeds
         ]
+    coverage = None
+    if protocol_coverage:
+        from repro.lint.coverage import CoverageAccountant
+
+        coverage = CoverageAccountant()
+        for r in results:
+            coverage.merge(r.coverage)
     return SweepResult(
         scenario=spec.name,
         seeds=seeds,
         results=results,
         aggregate=aggregate_rows([r.metrics for r in results]),
+        coverage=coverage,
     )
 
 

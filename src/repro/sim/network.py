@@ -40,6 +40,7 @@ skipped entirely. The fast path consumes the RNG stream identically to
 the slow path — loss is sampled iff the effective loss is positive, and
 a run with only zero-impact fault layers makes exactly the same
 drop/latency decisions as one with none (see DESIGN.md, "Performance").
+Observer hooks and the causal context cost one check each while unused.
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ class Network:
 
     Nodes register a delivery callback; :meth:`send` schedules delivery
     through the shared :class:`~repro.sim.scheduler.Scheduler`.
+
+    :attr:`hooks` is the one way tools observe the message path. A hook
+    has ``on_send(src, dst, msg, cause)``, with ``cause`` ``None`` on
+    the wire and ``"partition"`` / ``"loss"`` on a drop, and
+    ``on_deliver(src, dst, msg, context, sent_at)``, called before the
+    destination's callback runs and also when the destination is dead.
+    A send made while the causal :attr:`context` is set carries it and
+    the send time to that call; otherwise both are ``None``. Hooks only
+    observe, so a hooked run keeps the plain trajectory.
     """
 
     def __init__(
@@ -156,22 +166,20 @@ class Network:
         # active; every mutator below recomputes it via _refresh_fast_path.
         self._fault_free = True
         # Interned per-message-type counter state:
-        # type -> (kind, sent slots, received slots, partition-drop key,
+        # type -> (sent slots, received slots, partition-drop key,
         # loss-drop key). Built once per type, reused for every send.
-        self._type_cache: Dict[type, Tuple[str, Dict, Dict, str, str]] = {}
+        self._type_cache: Dict[type, Tuple[Dict, Dict, str, str]] = {}
         self._sent_slots = metrics.counter("msg.sent")
         self._recv_slots = metrics.counter("msg.received")
-        # Optional repro.obs.trace.OpTracer: when set and activated
-        # (tracer.active is a trace id), sends are attributed to the
-        # active operation and deliveries re-activate it around the
-        # receiving handler so cascaded sends inherit the id. When None
-        # (the default) the send path pays one local None-check.
-        self.tracer = None
+        # Observers (see the class docstring) and the causal context
+        # (an op-trace id), which _deliver re-activates around the
+        # receiving handler so cascaded sends inherit it.
+        self.hooks: List[Any] = []
+        self.context: Any = None
 
-    def _intern_type(self, msg_type: type) -> Tuple[str, Dict, Dict, str, str]:
+    def _intern_type(self, msg_type: type) -> Tuple[Dict, Dict, str, str]:
         kind = msg_type.__name__
         entry = (
-            kind,
             self.metrics.counter(f"msg.sent.{kind}"),
             self.metrics.counter(f"msg.received.{kind}"),
             f"msg.dropped.partition.{kind}",
@@ -421,70 +429,60 @@ class Network:
         mutate it (messages are frozen dataclasses by convention, and
         payload fields should be snapshotted tuples). The ``repro lint``
         I-rules check this statically and
-        :func:`repro.lint.isolation.isolation_guard`
-        (``scenarios run --isolation-check``) enforces it at run time by
-        digesting the payload here and re-verifying it at delivery.
+        :class:`~repro.lint.isolation.IsolationChecker`
+        (``scenarios run --isolation-check``) enforces it at run time as
+        a hook that digests the payload here and re-verifies it at
+        delivery.
         """
         entry = self._type_cache.get(type(msg))
         if entry is None:
             entry = self._intern_type(type(msg))
         sent = self._sent_slots
         sent[src] = sent.get(src, 0.0) + 1.0
-        sent_kind = entry[1]
+        sent_kind = entry[0]
         sent_kind[None] = sent_kind.get(None, 0.0) + 1.0
-        tracer = self.tracer
-        trace = tracer.active if tracer is not None else None
         if self._fault_free:
             loss = self.loss_rate
         else:
             if self._crosses_partition(src, dst):
                 self.metrics.inc("msg.dropped.partition")
-                self.metrics.inc(entry[3])
-                if trace is not None:
-                    tracer.drop(trace, src, dst, entry[0], "partition", self.scheduler.now)
+                self.metrics.inc(entry[2])
+                for hook in self.hooks:
+                    hook.on_send(src, dst, msg, "partition")
                 return False
             loss = self._loss_for(src, dst)
         if loss > 0.0 and self.rng.random() < loss:
             self.metrics.inc("msg.dropped.loss")
-            self.metrics.inc(entry[4])
-            if trace is not None:
-                tracer.drop(trace, src, dst, entry[0], "loss", self.scheduler.now)
+            self.metrics.inc(entry[3])
+            for hook in self.hooks:
+                hook.on_send(src, dst, msg, "loss")
             return False
         latency = self.latency_model.sample(self.rng, src, dst)
         if not self._fault_free:
             latency += self._extra_latency_for(src, dst)
-        if trace is None:
-            self.scheduler.schedule(latency, self._deliver, src, dst, msg, entry[2])
+        context = self.context
+        if context is None:
+            self.scheduler.schedule(latency, self._deliver, src, dst, msg, entry[1])
         else:
             self.scheduler.schedule(
-                latency, self._deliver_traced, src, dst, msg, entry[2],
-                trace, self.scheduler.now,
+                latency, self._deliver, src, dst, msg, entry[1],
+                context, self.scheduler.now,
             )
+        if self.hooks:
+            for hook in self.hooks:
+                hook.on_send(src, dst, msg, None)
         return True
 
-    def _deliver_traced(
+    def _deliver(
         self, src: int, dst: int, msg: Any, received_kind: Dict,
-        trace: int, sent_at: float,
+        context: Any = None, sent_at: Optional[float] = None,
     ) -> None:
-        """Delivery of a message attributed to an op trace: record the
-        hop, then run the normal delivery with the trace re-activated so
-        sends the handler causes (fan-out, acks) inherit the trace id."""
-        tracer = self.tracer
-        if tracer is None:
-            self._deliver(src, dst, msg, received_kind)
-            return
-        tracer.hop(trace, src, dst, type(msg).__name__, sent_at, self.scheduler.now)
-        previous = tracer.active
-        tracer.active = trace
-        try:
-            self._deliver(src, dst, msg, received_kind)
-        finally:
-            tracer.active = previous
-
-    def _deliver(self, src: int, dst: int, msg: Any, received_kind: Dict) -> None:
         # ``received_kind`` is the per-type received-counter slots dict from
         # the sender's interned entry — passed through the event so delivery
         # pays no type lookup.
+        if self.hooks:
+            for hook in self.hooks:
+                hook.on_deliver(src, dst, msg, context, sent_at)
         deliver = self._delivery.get(dst)
         if deliver is None:
             # Destination died (or never existed) while the message was in
@@ -494,4 +492,12 @@ class Network:
         received = self._recv_slots
         received[dst] = received.get(dst, 0.0) + 1.0
         received_kind[None] = received_kind.get(None, 0.0) + 1.0
-        deliver(msg, src)
+        if context is None:
+            deliver(msg, src)
+            return
+        previous = self.context
+        self.context = context
+        try:
+            deliver(msg, src)
+        finally:
+            self.context = previous

@@ -1,8 +1,8 @@
 """The runtime isolation checker: structural payload digests, the
-copy-on-send guard (mutation-in-flight detection with full sender /
-receiver / type / sim-time context), fan-out refcounting, restoration,
-re-entrancy, and the trajectory-neutrality contract — a checked
-scenario run is byte-identical to a plain one."""
+copy-on-send hook (mutation-in-flight detection with full sender /
+receiver / type / sim-time context), fan-out refcounting, scoping to
+one simulation's network, and the trajectory-neutrality contract — a
+checked scenario run is byte-identical to a plain one."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import IsolationError
-from repro.lint import isolation_active, isolation_guard, payload_digest
+from repro.lint import CoverageAccountant, IsolationChecker, payload_digest
 from repro.scenarios.registry import load_bundled
 from repro.scenarios.runner import run_scenario, run_sweep
 from repro.sim.node import Node
@@ -148,18 +148,22 @@ def _sim(sender, sinks: int) -> Simulation:
     return sim
 
 
+def _checked(sim: Simulation) -> Simulation:
+    IsolationChecker().attach(sim.network)
+    return sim
+
+
 # ------------------------------------------------------------------- guard
 
 
 class TestIsolationGuard:
     def test_inactive_by_default(self):
-        assert not isolation_active()
+        assert Simulation(seed=7).network.hooks == []
 
     def test_mutation_in_flight_raises_with_context(self):
-        sim = _sim(Mutator, 1)
-        with isolation_guard():
-            with pytest.raises(IsolationError) as excinfo:
-                sim.run_for(1.0)
+        sim = _checked(_sim(Mutator, 1))
+        with pytest.raises(IsolationError) as excinfo:
+            sim.run_for(1.0)
         err = excinfo.value
         assert err.src == 0
         assert err.dst == 1
@@ -172,23 +176,20 @@ class TestIsolationGuard:
         assert "t=0.1" in message
 
     def test_unguarded_mutation_passes_silently(self):
-        # The guard is opt-in: without it the buggy run completes (and
+        # The checker is opt-in: without it the buggy run completes (and
         # the receiver sees the mutated payload — the bug it would hide).
         sim = _sim(Mutator, 1)
         sim.run_for(1.0)
 
     def test_clean_sender_passes(self):
-        sim = _sim(Polite, 1)
-        with isolation_guard():
-            sim.run_for(1.0)
-        assert not isolation_active()
+        sim = _checked(_sim(Polite, 1))
+        sim.run_for(1.0)
 
     def test_fan_out_of_one_object_passes(self):
         # Refcounted registry: the same unmutated object may be in
         # flight to several destinations at once.
-        sim = _sim(FanOut, 3)
-        with isolation_guard():
-            sim.run_for(1.0)
+        sim = _checked(_sim(FanOut, 3))
+        sim.run_for(1.0)
 
     def test_send_to_dead_node_still_checked_then_released(self):
         sim = Simulation(seed=7)
@@ -197,41 +198,35 @@ class TestIsolationGuard:
         sender.start()
         sink.start()
         sink.stop()
-        with isolation_guard():
-            sim.run_for(1.0)
+        checker = IsolationChecker()
+        checker.attach(sim.network)
+        sim.run_for(1.0)
+        assert checker._inflight == {}
 
-    def test_restores_on_exit(self):
-        from repro.sim.network import Network
 
-        before_send = Network.send
-        before_deliver = Network._deliver
-        with isolation_guard():
-            assert Network.send is not before_send
-        assert Network.send is before_send
-        assert Network._deliver is before_deliver
-        assert not isolation_active()
-
-    def test_restores_after_exception(self):
-        from repro.sim.network import Network
-
-        before_send = Network.send
-        with pytest.raises(RuntimeError):
-            with isolation_guard():
-                raise RuntimeError("boom")
-        assert Network.send is before_send
-
-    def test_reentrant(self):
-        from repro.sim.network import Network
-
-        before_send = Network.send
-        with isolation_guard():
-            with isolation_guard():
-                assert isolation_active()
-            # Inner exit must not disarm the outer guard.
-            assert isolation_active()
-            assert Network.send is not before_send
-        assert not isolation_active()
-        assert Network.send is before_send
+class TestScoping:
+    def test_hooks_are_scoped_to_one_simulation(self):
+        # Two simulations in one process; only `checked` carries the
+        # isolation checker and a coverage accountant.
+        plain = _sim(Mutator, 1)
+        checked = _sim(Mutator, 1)
+        coverage = CoverageAccountant()
+        coverage.attach(checked.network)
+        IsolationChecker().attach(checked.network)
+        plain.run_for(1.0)  # the same mutation passes unchecked here…
+        assert coverage.delivered == {}  # …and is not counted
+        with pytest.raises(IsolationError):
+            checked.run_for(1.0)
+        assert plain.network.hooks == []
+        assert coverage.delivered == {("Sink", "Evil"): 1}
+        # A second covered simulation starts from zero and leaves the
+        # first accountant alone.
+        other = _sim(Polite, 1)
+        second = CoverageAccountant()
+        second.attach(other.network)
+        other.run_for(1.0)
+        assert second.delivered == {("Sink", "Evil"): 1}
+        assert coverage.delivered == {("Sink", "Evil"): 1}
 
 
 # ---------------------------------------------------- trajectory neutrality
@@ -243,7 +238,6 @@ class TestTrajectoryNeutrality:
         plain = run_scenario(spec, seed=11)
         checked = run_scenario(spec, seed=11, isolation_check=True)
         assert checked.summary_json() == plain.summary_json()
-        assert not isolation_active()
 
     def test_checked_fault_spec_is_byte_identical(self):
         spec = small_spec("asymmetric-partition")

@@ -20,6 +20,7 @@ from repro.obs import (
     load_manifest,
     sha256_file,
 )
+from repro.scenarios.registry import load_bundled
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import (
     ObservabilitySpec,
@@ -110,23 +111,29 @@ class TestOpTracer:
 
     def test_span_events_balance(self):
         tracer = OpTracer(sample_every=1)
+        tracer.attach(Simulation(seed=1).network)
         trace = tracer.sample_op("update", "key", 7, 1.0)
-        tracer.hop(trace, 7, 3, "PutRequest", 1.0, 1.01)
-        tracer.drop(trace, 3, 5, "PutForward", "loss", 1.02)
+        tracer.on_deliver(7, 3, "PutRequest", trace, 0.0)
+        with tracer.activated(trace):
+            tracer.on_send(3, 5, "PutForward", "loss")
+            tracer.on_send(3, 5, "PutForward", None)  # on the wire: no event
         tracer.op_end(trace, True, 1.5)
         kinds = [e["ph"] for e in tracer._events]
         assert kinds.count("b") == kinds.count("e") == 1
         assert kinds.count("X") == 1 and kinds.count("i") == 1
 
     def test_activated_restores_previous_context(self):
+        network = Simulation(seed=1).network
         tracer = OpTracer(sample_every=1)
-        assert tracer.active is None
+        tracer.attach(network)
+        assert network.hooks == [tracer]
+        assert network.context is None
         with tracer.activated(42):
-            assert tracer.active == 42
+            assert network.context == 42
             with tracer.activated(None):
-                assert tracer.active is None
-            assert tracer.active == 42
-        assert tracer.active is None
+                assert network.context is None
+            assert network.context == 42
+        assert network.context is None
 
     def test_chrome_export_is_valid_json_with_metadata(self):
         tracer = OpTracer(sample_every=1)
@@ -298,6 +305,31 @@ class TestRecorderNeutrality:
         begins = sum(1 for e in events if e["ph"] == "b")
         ends = sum(1 for e in events if e["ph"] == "e")
         assert begins == ends == recorder.tracer.sampled_ops
+
+
+class TestHookComposition:
+    def test_tracer_checker_and_accountant_share_one_network(self, tmp_path):
+        # The tracer, the isolation checker and the coverage accountant
+        # are all hooks on the same network; none may change what the
+        # others (or the plain run) see.
+        # Sized so traced ops also meet the spec's loss and partition.
+        spec = load_bundled("flight-recorder").scaled(
+            nodes=20, record_count=5, operation_count=40
+        )
+        plain = run_scenario(spec)
+        traced = FlightRecorder(trace=True, trace_sample=1)
+        traced_result = run_scenario(spec, recorder=traced)
+        composed = FlightRecorder(trace=True, trace_sample=1)
+        composed_result = run_scenario(
+            spec, recorder=composed, isolation_check=True, protocol_coverage=True
+        )
+        traced.write_artifacts(str(tmp_path / "traced"), spec, traced_result)
+        composed.write_artifacts(str(tmp_path / "composed"), spec, composed_result)
+        trace_json = (tmp_path / "traced" / "trace.json").read_bytes()
+        assert (tmp_path / "composed" / "trace.json").read_bytes() == trace_json
+        assert composed.tracer.hops > 0 and composed.tracer.drops > 0
+        assert composed_result.coverage.handled
+        assert composed_result.summary_json() == plain.summary_json()
 
 
 class TestManifest:

@@ -1,19 +1,14 @@
 """The runtime protocol-coverage accountant: per-(node class, message
 type) delivered/handled edge counts, the static-vs-runtime edge diff,
-guard restoration and re-entrancy, and the trajectory-neutrality
+sweep merging (serial and parallel), and the trajectory-neutrality
 contract — a covered scenario run is byte-identical to a plain one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lint import (
-    build_protocol_graph,
-    coverage_snapshot,
-    protocol_coverage,
-    protocol_coverage_active,
-    unexercised_edges,
-)
+from repro.cli import main
+from repro.lint import CoverageAccountant, build_protocol_graph
 from repro.scenarios.registry import load_bundled
 from repro.scenarios.runner import run_scenario, run_sweep
 from repro.sim.node import Node
@@ -78,31 +73,29 @@ def _sim() -> Simulation:
     return sim
 
 
+def _graph():
+    import os
+
+    import repro
+
+    return build_protocol_graph([os.path.dirname(os.path.abspath(repro.__file__))])
+
+
 # ------------------------------------------------------------------- guard
 
 
 class TestCoverageGuard:
     def test_inactive_by_default(self):
-        assert not protocol_coverage_active()
+        assert Simulation(seed=7).network.hooks == []
+        assert CoverageAccountant().delivered == {}
 
     def test_delivered_and_handled_are_keyed_by_class_and_type(self):
         sim = _sim()
-        with protocol_coverage():
-            assert protocol_coverage_active()
-            sim.run_for(1.0)
-        snapshot = coverage_snapshot()
-        assert snapshot["delivered"]["Sink/Ping"] == 1
-        assert snapshot["delivered"]["Sink/Stray"] == 1
-        assert snapshot["handled"] == {"Sink/Ping": 1}
-
-    def test_counters_survive_guard_exit_and_reset_on_entry(self):
-        sim = _sim()
-        with protocol_coverage():
-            sim.run_for(1.0)
-        assert coverage_snapshot()["handled"]  # readable after exit
-        with protocol_coverage():
-            pass  # outermost entry clears the previous run's counters
-        assert coverage_snapshot() == {"delivered": {}, "handled": {}}
+        coverage = CoverageAccountant()
+        coverage.attach(sim.network)
+        sim.run_for(1.0)
+        assert coverage.delivered == {("Sink", "Ping"): 1, ("Sink", "Stray"): 1}
+        assert coverage.handled == {("Sink", "Ping"): 1}
 
     def test_dead_destination_is_not_counted(self):
         sim = Simulation(seed=7)
@@ -111,33 +104,22 @@ class TestCoverageGuard:
         sender.start()
         sink.start()
         sink.stop()
-        with protocol_coverage():
-            sim.run_for(1.0)
+        coverage = CoverageAccountant()
+        coverage.attach(sim.network)
+        sim.run_for(1.0)
         # Unregistered destination: the network drops the message before
         # any node class can be attributed.
-        assert coverage_snapshot() == {"delivered": {}, "handled": {}}
+        assert coverage.delivered == {} and coverage.handled == {}
 
-    def test_restores_on_exit(self):
-        from repro.sim.network import Network
-
-        before = Network._deliver
-        with protocol_coverage():
-            assert Network._deliver is not before
-        assert Network._deliver is before
-        assert not protocol_coverage_active()
-
-    def test_reentrant(self):
-        from repro.sim.network import Network
-
-        before = Network._deliver
-        with protocol_coverage():
-            with protocol_coverage():
-                assert protocol_coverage_active()
-            # Inner exit must not disarm the outer guard.
-            assert protocol_coverage_active()
-            assert Network._deliver is not before
-        assert not protocol_coverage_active()
-        assert Network._deliver is before
+    def test_detach_keeps_counters_and_drops_the_network(self):
+        sim = _sim()
+        coverage = CoverageAccountant()
+        coverage.attach(sim.network)
+        sim.run_for(1.0)
+        coverage.detach()
+        assert sim.network.hooks == []
+        assert coverage.network is None
+        assert coverage.handled == {("Sink", "Ping"): 1}
 
 
 # ------------------------------------------------- static-vs-runtime diff
@@ -145,15 +127,8 @@ class TestCoverageGuard:
 
 class TestEdgeDiff:
     def test_scenario_exercises_core_edges(self):
-        import os
-
-        import repro
-
-        run_scenario(small_spec(), seed=11, protocol_coverage=True)
-        graph = build_protocol_graph(
-            [os.path.dirname(os.path.abspath(repro.__file__))]
-        )
-        missing = unexercised_edges(graph)
+        result = run_scenario(small_spec(), seed=11, protocol_coverage=True)
+        missing = result.coverage.unexercised_edges(_graph())
         missing_keys = {(endpoint, message) for endpoint, message, _ in missing}
         # The baseline core stack drives the put/get protocol…
         assert ("RequestHandler", "PutRequest") not in missing_keys
@@ -162,16 +137,41 @@ class TestEdgeDiff:
         assert ("OracleNode", "OraclePut") in missing_keys
 
     def test_all_edges_missing_without_a_covered_run(self):
-        import os
+        graph = _graph()
+        missing = CoverageAccountant().unexercised_edges(graph)
+        assert len(missing) == len(graph.handle_edges())
 
-        import repro
 
-        with protocol_coverage():
-            pass  # clear counters; nothing runs
-        graph = build_protocol_graph(
-            [os.path.dirname(os.path.abspath(repro.__file__))]
+# ------------------------------------------------------------------- sweeps
+
+
+class TestSweepCoverage:
+    def test_serial_sweep_sums_its_single_runs(self):
+        spec = small_spec()
+        sweep = run_sweep(spec, seeds=[0, 1, 2], protocol_coverage=True)
+        singles = [
+            run_scenario(spec, seed=s, protocol_coverage=True).coverage
+            for s in (0, 1, 2)
+        ]
+        assert sum(sweep.coverage.handled.values()) == sum(
+            sum(c.handled.values()) for c in singles
         )
-        assert len(unexercised_edges(graph)) == len(graph.handle_edges())
+        assert [r.coverage.handled for r in sweep.results] == [
+            c.handled for c in singles
+        ]
+
+    def test_parallel_report_equals_serial_report(self, capsys):
+        args = [
+            "scenarios", "sweep", "baseline", "--seeds", "0", "1",
+            "--nodes", "20", "--records", "5", "--ops", "8",
+            "--protocol-coverage", "--summary",
+        ]
+        reports = []
+        for jobs in ("1", "2"):
+            assert main(args + ["--jobs", jobs]) == 0
+            reports.append(capsys.readouterr().err)
+        assert reports[0].startswith("protocol coverage: ")
+        assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------- trajectory neutrality
@@ -183,7 +183,8 @@ class TestTrajectoryNeutrality:
         plain = run_scenario(spec, seed=11)
         covered = run_scenario(spec, seed=11, protocol_coverage=True)
         assert covered.summary_json() == plain.summary_json()
-        assert not protocol_coverage_active()
+        assert covered.coverage.handled
+        assert plain.coverage is None
 
     def test_covered_fault_spec_is_byte_identical(self):
         spec = small_spec("asymmetric-partition")
@@ -199,7 +200,7 @@ class TestTrajectoryNeutrality:
 
     def test_stacks_with_sanitizer_and_isolation_checker(self):
         # scenarios run --sanitize --isolation-check --protocol-coverage:
-        # all three guards armed at once, restored in LIFO order.
+        # the determinism guard plus both hooks on one network.
         spec = small_spec("dht-crash-recover")
         result = run_scenario(
             spec,
@@ -209,4 +210,4 @@ class TestTrajectoryNeutrality:
             protocol_coverage=True,
         )
         assert result.metrics["events_processed"] > 0
-        assert coverage_snapshot()["handled"]
+        assert result.coverage.handled

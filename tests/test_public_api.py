@@ -4,7 +4,7 @@ import repro
 
 
 def test_version_string():
-    assert repro.__version__ == "1.8.0"
+    assert repro.__version__ == "1.9.0"
 
 
 def test_every_module_all_resolves():
