@@ -4,7 +4,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.9.0",
+    version="1.10.0",
     description="DATAFLASKS reproduction: an epidemic key-value substrate",
     package_dir={"": "src"},
     packages=find_packages("src"),

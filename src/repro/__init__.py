@@ -50,7 +50,7 @@ from repro.core import (
 from repro.droplets import DropletsSession
 from repro.sim import Simulation
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "BackendRegistry",

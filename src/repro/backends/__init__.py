@@ -1,13 +1,18 @@
 """Pluggable storage backends — the stack-neutral experiment surface.
 
-* :mod:`repro.backends.base` — the :class:`StoreBackend` protocol every
-  stack implements (deploy, converge, clients, churn, metrics hook)
+* :mod:`repro.backends.base` — :class:`StoreBackend`, the deployment
+  base class every stack subclasses (deploy, converge, clients, churn,
+  metrics hook)
 * :mod:`repro.backends.registry` — :class:`BackendRegistry`,
   :func:`register_backend`, :func:`get_backend`, :func:`list_backends`
-* :mod:`repro.backends.core` — DATAFLASKS (``stack = "core"``)
-* :mod:`repro.backends.dht` — the Chord baseline (``stack = "dht"``)
-* :mod:`repro.backends.oracle` — an idealized centralized replicated
-  store (``stack = "oracle"``), the ground-truth consistency baseline
+
+One class per stack, registered under its ``spec.stack`` name:
+
+* ``core`` — :class:`~repro.core.cluster.DataFlasksCluster`, DATAFLASKS
+* ``dht`` — :class:`~repro.dht.cluster.DhtCluster`, the Chord baseline
+* ``oracle`` — :class:`~repro.backends.oracle.OracleCluster`, an
+  idealized centralized replicated store, the ground-truth consistency
+  baseline
 
 Quickstart::
 
@@ -21,7 +26,7 @@ Quickstart::
     client = backend.new_client()
     backend.put_sync(client, "user:1", b"alice", version=1)
 
-Importing this package registers the three built-in backends; third
+Importing this package registers the three built-in stacks; third
 parties register theirs with :func:`register_backend` (see DESIGN.md,
 "Backend architecture").
 """
@@ -35,18 +40,17 @@ from repro.backends.registry import (
     register_backend,
 )
 
-# Importing the built-in backend modules registers them.
-from repro.backends.core import CoreBackend
-from repro.backends.dht import DhtBackend
-from repro.backends.oracle import OracleBackend, OracleClient, OracleCluster, OracleNode
+# Importing the stack modules registers them. They are imported as
+# modules: repro.core.cluster itself imports this package's base and
+# registry, and a module import resolves that cycle from every entry point.
+import repro.core.cluster
+import repro.dht.cluster
+from repro.backends.oracle import OracleClient, OracleCluster, OracleNode
 
 __all__ = [
     "REGISTRY",
     "REPLICATION_SAMPLE",
     "BackendRegistry",
-    "CoreBackend",
-    "DhtBackend",
-    "OracleBackend",
     "OracleClient",
     "OracleCluster",
     "OracleNode",

@@ -1,11 +1,12 @@
-"""The pluggable storage-backend protocol.
+"""The storage-stack base class: one deployment per stack.
 
-A :class:`StoreBackend` is everything the experiment pipeline — the
-scenario runner, the workload runner, the nemesis heal probe and the
-benches — needs from a storage stack, captured as one abstract surface:
+A :class:`StoreBackend` is a deployment of one storage stack inside a
+:class:`~repro.sim.simulator.Simulation`, and everything the experiment
+pipeline — the scenario runner, the workload runner, the nemesis heal
+probe and the benches — needs from it:
 
 * **provisioning** — :meth:`StoreBackend.deploy` builds the stack inside
-  an existing :class:`~repro.sim.simulator.Simulation` from a
+  an existing simulation from a
   :class:`~repro.scenarios.spec.ScenarioSpec`,
 * **driving** — :meth:`new_client`, :meth:`run_op`, :meth:`put_sync`,
   :meth:`get_sync` (clients must speak the
@@ -17,28 +18,34 @@ benches — needs from a storage stack, captured as one abstract surface:
   churn models and fault injectors work on any stack,
 * **observation** — :meth:`replication_level`,
   :meth:`server_message_load`, and the :meth:`collect_metrics` hook
-  where each backend contributes its stack-specific metric blocks
-  (slice health for DATAFLASKS, ring health for the DHT) instead of the
-  runner special-casing stacks.
+  where each stack contributes its own metric blocks (slice health for
+  DATAFLASKS, ring health for the DHT) instead of the runner
+  special-casing stacks.
 
-Concrete backends are thin adapters over a deployment facade (kept on
-:attr:`StoreBackend.cluster`); the facade classes themselves —
+The base class holds the code every stack shares; a stack class —
 :class:`~repro.core.cluster.DataFlasksCluster`,
 :class:`~repro.dht.cluster.DhtCluster`,
-:class:`~repro.backends.oracle.OracleCluster` — stay importable and
-usable directly. Backends register under their ``spec.stack`` name with
+:class:`~repro.backends.oracle.OracleCluster` — adds node construction
+(:meth:`_make_server`, which builds deploy-time servers and churn
+joiners alike), :meth:`deploy`, :meth:`converge`, :meth:`converged` and
+its own helpers. Stacks register under their ``spec.stack`` name with
 :func:`~repro.backends.registry.register_backend`; see
-:mod:`repro.backends.registry` for lookup and
-DESIGN.md ("Backend architecture") for how to add one.
+:mod:`repro.backends.registry` for lookup and DESIGN.md ("Backend
+architecture") for how to add one.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
+from repro.errors import ConfigurationError, OperationTimeoutError
 from repro.sim.metrics import mean
+from repro.sim.node import Node, SimContext
 from repro.sim.simulator import Simulation
+
+if TYPE_CHECKING:
+    from repro.core.client import PendingOp
 
 __all__ = ["StoreBackend", "REPLICATION_SAMPLE", "round_metric"]
 
@@ -54,21 +61,33 @@ def round_metric(value: float) -> float:
 
 
 class StoreBackend(abc.ABC):
-    """Abstract storage stack behind the experiment pipeline.
+    """A storage-stack deployment behind the experiment pipeline.
 
+    :param n: number of server nodes; must be positive.
+    :param sim: the simulation to deploy into (created from ``seed`` if
+        omitted).
     :cvar name: the registry key ``spec.stack`` resolves
         (set by :func:`~repro.backends.registry.register_backend`).
     :cvar description: one line for ``repro backends list``.
-    :ivar cluster: the wrapped deployment facade; anything not covered
-        by the protocol (stack-specific helpers, direct store access)
-        remains reachable here.
     """
 
     name: str = ""
     description: str = ""
 
-    def __init__(self, cluster: Any) -> None:
-        self.cluster = cluster
+    def __init__(self, n: int, sim: Optional[Simulation] = None, seed: int = 0) -> None:
+        if n <= 0:
+            raise ConfigurationError("cluster size must be positive")
+        self.sim = sim if sim is not None else Simulation(seed=seed)
+        #: All server nodes ever deployed (alive and crashed); fault
+        #: injectors and churn scope their victims to these.
+        self.servers: List[Any] = []
+        self.clients: List[Any] = []
+
+    @property
+    def cluster(self) -> "StoreBackend":
+        """This deployment itself; read-only, kept only for callers that
+        still reach the deployment through ``backend.cluster``."""
+        return self
 
     # --------------------------------------------------------- provisioning
 
@@ -76,6 +95,11 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def deploy(cls, spec: Any, sim: Simulation) -> "StoreBackend":
         """Build the stack described by ``spec`` inside ``sim``."""
+
+    @abc.abstractmethod
+    def _make_server(self, node_id: int, ctx: SimContext) -> Node:
+        """Build one server node and append it to :attr:`servers`; the
+        node factory for deploy-time servers and churn joiners alike."""
 
     # ---------------------------------------------------------- convergence
 
@@ -90,40 +114,41 @@ class StoreBackend(abc.ABC):
         """Cheap instantaneous predicate: does the overlay look whole
         right now? Polled by the nemesis heal probe after every heal."""
 
-    # ------------------------------------------------------------- plumbing
+    # ----------------------------------------------------------- membership
 
-    @property
-    def sim(self) -> Simulation:
-        return self.cluster.sim
-
-    @property
-    def servers(self) -> List[Any]:
-        """All server nodes ever deployed (alive and crashed); fault
-        injectors and churn scope their victims to these."""
-        return self.cluster.servers
-
-    @property
-    def clients(self) -> List[Any]:
-        return self.cluster.clients
+    def alive_servers(self) -> List[Any]:
+        return [s for s in self.servers if s.alive]
 
     def directory(self) -> List[int]:
         """Alive server ids — what a load-balancer/tracker would expose."""
-        return self.cluster.directory()
+        return [s.id for s in self.servers if s.alive]
 
     def churn_controller(self, **kwargs: Any):
         """A :class:`~repro.churn.controller.ChurnController` scoped to
-        this stack's servers (co-simulated clients are never victims)."""
-        return self.cluster.churn_controller(**kwargs)
+        this stack's servers: co-simulated clients model the measurement
+        harness, never churn victims."""
+        from repro.churn.controller import ChurnController
 
-    # ------------------------------------------------------------- clients
+        return ChurnController(self.sim, self._make_server, eligible=self.alive_servers, **kwargs)
 
+    # -------------------------------------------------------------- clients
+
+    @abc.abstractmethod
     def new_client(self, **kwargs: Any):
         """Create and start a client node speaking ``PendingOp``."""
-        return self.cluster.new_client(**kwargs)
 
-    def run_op(self, op, timeout: float = 30.0):
+    def _add_client(self, factory: Callable[[int, SimContext], Node]):
+        client = self.sim.add_node(factory)
+        client.start()
+        self.clients.append(client)
+        return client
+
+    def run_op(self, op: PendingOp, timeout: float = 30.0) -> PendingOp:
         """Advance virtual time until ``op`` completes."""
-        return self.cluster.run_op(op, timeout)
+        self.sim.run_until_condition(lambda: op.done, timeout, check_interval=0.1)
+        if not op.done:
+            raise OperationTimeoutError(op.kind, op.key, timeout)
+        return op
 
     def put_sync(
         self,
@@ -133,21 +158,24 @@ class StoreBackend(abc.ABC):
         version: int,
         acks_required: int = 1,
         timeout: float = 30.0,
-    ):
+    ) -> PendingOp:
         return self.run_op(client.put(key, value, version, acks_required), timeout)
 
-    def get_sync(self, client, key: str, version: Optional[int] = None, timeout: float = 30.0):
+    def get_sync(
+        self, client, key: str, version: Optional[int] = None, timeout: float = 30.0
+    ) -> PendingOp:
         return self.run_op(client.get(key, version), timeout)
 
     # ---------------------------------------------------------- observation
 
     def replication_level(self, key: str, version: Optional[int] = None) -> int:
         """How many alive servers hold the object right now."""
-        return self.cluster.replication_level(key, version)
+        return sum(1 for s in self.servers if s.alive and s.holds(key, version))
 
     def server_message_load(self) -> Dict[str, float]:
-        """Mean messages sent/received per *server* node."""
-        return self.cluster.server_message_load()
+        """Mean messages sent/received per *server* node — the paper's
+        Figures 3/4 metric (clients excluded)."""
+        return self.sim.metrics.message_load(population=[s.id for s in self.servers])
 
     def collect_metrics(self, groups: Set[str], workload: Any, metrics: Dict[str, float]) -> None:
         """Contribute stack-specific metric blocks to a scenario result.
@@ -164,8 +192,7 @@ class StoreBackend(abc.ABC):
     def collect_replication(
         self, groups: Set[str], workload: Any, metrics: Dict[str, float]
     ) -> None:
-        """The ``replication`` metric block, shared by every backend that
-        implements :meth:`replication_level` (all of them)."""
+        """The ``replication`` metric block, shared by every stack."""
         if "replication" not in groups:
             return
         sample = [

@@ -6,14 +6,20 @@ registry is what the scenario engine, the CLI and the spec validator
 consult; the built-in backends (``core``, ``dht``, ``oracle``) register
 with it on import of :mod:`repro.backends`.
 
-Adding a stack is one decorator::
+Adding a stack is one class and one decorator::
 
     from repro.backends import StoreBackend, register_backend
 
     @register_backend("mystack")
-    class MyBackend(StoreBackend):
+    class MyCluster(StoreBackend):
         description = "one line for `repro backends list`"
-        ...
+
+        def _make_server(self, node_id, ctx): ...
+        def new_client(self, timeout=5.0, retries=2): ...
+        @classmethod
+        def deploy(cls, spec, sim): ...
+        def converge(self, spec): ...
+        def converged(self): ...
 
 and every scenario spec, bench, CLI command and the backend contract
 test suite (``tests/test_backend_contract.py``) picks it up — no runner

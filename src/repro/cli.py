@@ -692,7 +692,7 @@ def _validate_spec(target: str) -> int:
             {
                 "kind": f.kind,
                 "start": f.start,
-                "heals_at": "-" if not f.needs_heal else f.end,
+                "heals_at": f.end,
             }
             for f in injectors
         ]

@@ -6,8 +6,7 @@ entries scenarios use:
 
 * :mod:`repro.faults.injectors` — partitions (partial/asymmetric, with
   scheduled healing), per-link degradation (slow nodes, lossy links),
-  burst-loss windows, crash-recover churn, and classic churn models
-  wrapped as injectors
+  burst-loss windows and crash-recover churn
 * :mod:`repro.faults.nemesis` — :class:`Nemesis`, which schedules
   inject/heal actions on the simulation clock and keeps the accounting
   the consistency/availability metrics read
@@ -31,7 +30,6 @@ Quickstart::
 
 from repro.faults.injectors import (
     BurstLossFault,
-    ChurnFault,
     CrashRecoverFault,
     DegradeFault,
     FaultContext,
@@ -43,7 +41,6 @@ from repro.faults.spec import FAULT_KINDS, FaultSpec
 
 __all__ = [
     "BurstLossFault",
-    "ChurnFault",
     "CrashRecoverFault",
     "DegradeFault",
     "FAULT_KINDS",

@@ -17,25 +17,31 @@ instead of the exception"):
 
 * :class:`PartitionFault` — partial partitions with scheduled healing,
   symmetric or asymmetric (the isolated group cannot *send* across the
-  cut but still hears the other side),
+  cut but still hears the other side), built from
+  :meth:`Network.block` rules,
 * :class:`DegradeFault` — per-link degradation: slow nodes (extra
-  latency) and lossy links for a subset of the population,
-* :class:`BurstLossFault` — a window of heavy global message loss,
+  latency) and lossy links for a subset of the population, one
+  :meth:`Network.add_conditions` layer per activation,
+* :class:`BurstLossFault` — a window of heavy global message loss, one
+  :meth:`Network.add_burst_loss` window per activation,
 * :class:`CrashRecoverFault` — nodes crash and later restart in place
   with their retained store (:meth:`ChurnController.recover`), instead
-  of joining fresh,
-* :class:`ChurnFault` — any :class:`~repro.churn.models.ChurnModel`
-  wrapped as an injector, unifying classic churn with the nemesis
-  schedule.
+  of joining fresh.
+
+Each network fault uses exactly one token-based :class:`Network`
+mechanism, so every heal reverts its own activation and nothing else.
+Classic churn (joins and leaves from a
+:class:`~repro.churn.models.ChurnModel`) runs through the scenario's
+:class:`~repro.churn.controller.ChurnController`, not through an
+injector.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.churn.models import ChurnModel
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "FaultContext",
@@ -44,7 +50,6 @@ __all__ = [
     "DegradeFault",
     "BurstLossFault",
     "CrashRecoverFault",
-    "ChurnFault",
 ]
 
 
@@ -109,7 +114,6 @@ class FaultInjector:
     """
 
     kind = "fault"
-    needs_heal = True
 
     def __init__(self, start: float = 0.0, duration: float = 10.0) -> None:
         if start < 0:
@@ -143,7 +147,8 @@ class PartitionFault(FaultInjector):
     asymmetric, the first group is the isolated one. A *single* explicit
     group is isolated from the rest of the population (mirroring the
     fraction path); with two or more groups, unmentioned nodes stay
-    connected to everyone.
+    connected to everyone. A node cannot sit on both sides of a cut, so
+    groups must be disjoint.
     """
 
     kind = "partition"
@@ -161,6 +166,14 @@ class PartitionFault(FaultInjector):
             raise ConfigurationError("partition fraction must be in (0, 1)")
         self.fraction = fraction
         self.groups = [list(g) for g in groups] if groups else []
+        group_of: Dict[int, int] = {}
+        for index, group in enumerate(self.groups):
+            for node_id in group:
+                if group_of.setdefault(node_id, index) != index:
+                    raise ConfigurationError(
+                        f"node {node_id} appears in partition groups "
+                        f"{group_of[node_id]} and {index}; groups must be disjoint"
+                    )
         self.symmetric = symmetric
         # FIFO of activations: one list of block-rule ids per inject.
         self._rules: List[List[int]] = []
@@ -330,22 +343,3 @@ class CrashRecoverFault(FaultInjector):
         if node is None or node.alive:
             return
         node.start()
-
-
-class ChurnFault(FaultInjector):
-    """Classic churn as just another injector: schedules a
-    :class:`~repro.churn.models.ChurnModel`'s events over the fault's
-    duration through the context's controller. Nothing to heal — the
-    events themselves are the fault."""
-
-    kind = "churn"
-    needs_heal = False
-
-    def __init__(self, model: ChurnModel, start: float = 0.0, duration: float = 10.0) -> None:
-        super().__init__(start, duration)
-        self.model = model
-
-    def inject(self, ctx: FaultContext) -> None:
-        if ctx.controller is None:
-            raise SimulationError("ChurnFault needs a context with a ChurnController")
-        ctx.controller.apply(self.model, horizon=self.duration)

@@ -31,7 +31,7 @@ class Nemesis:
         servers (clients are never fault victims).
     :param controller: optional shared
         :class:`~repro.churn.controller.ChurnController` so crash-recover
-        and churn injectors land in the same join/leave accounting as
+        injectors land in the same leave/recovery accounting as
         spec-level churn.
     """
 
@@ -57,8 +57,7 @@ class Nemesis:
         count = 0
         for injector in injectors:
             self.sim.scheduler.schedule_at(base + injector.start, self._inject, injector)
-            if injector.needs_heal:
-                self.sim.scheduler.schedule_at(base + injector.end, self._heal, injector)
+            self.sim.scheduler.schedule_at(base + injector.end, self._heal, injector)
             self._end_time = max(self._end_time, base + injector.end)
             self._scheduled.append(injector)
             count += 1

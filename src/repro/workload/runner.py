@@ -221,7 +221,7 @@ class WorkloadRunner:
     """Runs load and transaction phases against a storage stack.
 
     ``cluster`` is duck-typed: a
-    :class:`~repro.backends.base.StoreBackend` or any deployment facade
+    :class:`~repro.backends.base.StoreBackend` stack or any object
     exposing ``sim``, ``servers``, ``new_client()`` and
     ``server_message_load()``, whose clients speak the
     :class:`~repro.core.client.PendingOp` protocol — the runner never

@@ -94,13 +94,21 @@ def test_reads_survive_moderate_churn_after_repair():
 def test_joiner_integrates_into_ring():
     cluster = DhtCluster(n=20, seed=23)
     cluster.stabilize(10)
-    factory = cluster.server_factory()
-    joiner = cluster.sim.add_node(factory)
-    joiner.start()
+    joiner = cluster.churn_controller().join()
     cluster.sim.run_for(40)
     assert cluster.ring_is_consistent()
     assert isinstance(joiner, ChordNode)
     assert joiner.predecessor is not None
+
+
+def test_joiner_gets_the_cluster_successor_list_len():
+    # Joiners are built by the same hook as deploy-time servers, so they
+    # inherit the cluster's successor_list_len rather than ChordNode's
+    # default.
+    cluster = DhtCluster(n=10, seed=24, successor_list_len=6)
+    joiner = cluster.churn_controller().join()
+    assert joiner.successor_list_len == 6
+    assert all(s.successor_list_len == 6 for s in cluster.servers)
 
 
 def test_lookup_hops_logarithmic(ring):

@@ -6,6 +6,7 @@ exercised here end to end.
 """
 
 from repro.core.cluster import DataFlasksCluster
+from repro.faults import FaultContext, PartitionFault
 from repro.sim.simulator import Simulation
 
 from tests.conftest import small_config
@@ -62,7 +63,9 @@ class TestPartition:
         servers = [s.id for s in cluster.alive_servers()]
         minority = servers[: len(servers) // 4]
         majority = [i for i in servers if i not in minority] + [client.id]
-        cluster.sim.network.set_partitions([minority, majority])
+        ctx = FaultContext(cluster.sim)
+        partition = PartitionFault(groups=[minority, majority])
+        partition.inject(ctx)
 
         ok = 0
         for i in range(5):
@@ -72,7 +75,7 @@ class TestPartition:
         # Slice-wide replication: at least most keys still have a replica
         # on the majority side.
         assert ok >= 4
-        cluster.sim.network.heal_partitions()
+        partition.heal(ctx)
 
     def test_heal_reconciles_partitioned_writes(self):
         cluster = build_lossy_cluster(0.0, n=40, seed=59)
@@ -80,14 +83,16 @@ class TestPartition:
         servers = [s.id for s in cluster.alive_servers()]
         minority = servers[: len(servers) // 4]
         majority = [i for i in servers if i not in minority] + [client.id]
-        cluster.sim.network.set_partitions([minority, majority])
+        ctx = FaultContext(cluster.sim)
+        partition = PartitionFault(groups=[minority, majority])
+        partition.inject(ctx)
 
         op = client.put("healed:key", b"written-during-split", 1)
         cluster.sim.run_until_condition(lambda: op.done, timeout=90)
         assert op.succeeded  # majority side accepted the write
         level_during = cluster.replication_level("healed:key")
 
-        cluster.sim.network.heal_partitions()
+        partition.heal(ctx)
         cluster.sim.run_for(60)  # anti-entropy crosses the healed boundary
         level_after = cluster.replication_level("healed:key")
         assert level_after >= level_during

@@ -5,11 +5,9 @@ the end-to-end fault scenarios."""
 import pytest
 
 from repro.core.cluster import DataFlasksCluster
-from repro.churn.models import TraceChurn, ChurnEvent, LEAVE
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.faults import (
     BurstLossFault,
-    ChurnFault,
     CrashRecoverFault,
     DegradeFault,
     FaultContext,
@@ -250,24 +248,6 @@ class TestCrashRecover:
         assert controller.recover(99999) is None
         assert controller.recover(cluster.servers[0].id) is None
         assert controller.recoveries == 0
-
-
-class TestChurnFault:
-    def test_wraps_a_churn_model(self):
-        cluster, controller, nemesis = build_nemesis(n=20, seed=31)
-        model = TraceChurn([ChurnEvent(0.5, LEAVE), ChurnEvent(1.0, LEAVE)])
-        nemesis.schedule([ChurnFault(model, start=1.0, duration=5.0)])
-        cluster.sim.run_for(3.0)
-        assert controller.leaves == 2
-        assert nemesis.injected == 1
-        assert nemesis.healed == 0  # churn has nothing to heal
-
-    def test_requires_controller(self):
-        sim = Simulation(seed=1)
-        nemesis = Nemesis(sim)  # no controller
-        nemesis.schedule([ChurnFault(TraceChurn([ChurnEvent(0.0, LEAVE)]), duration=1.0)])
-        with pytest.raises(SimulationError):
-            sim.run_for(1.0)
 
 
 # ---------------------------------------------------------------- nemesis

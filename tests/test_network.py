@@ -1,8 +1,11 @@
 """Unit tests for the simulated network."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import PartitionFault
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import (
     FixedLatency,
@@ -26,6 +29,16 @@ def make_network(**kwargs):
     metrics = MetricsRegistry()
     rng = RngRegistry(seed=1).stream("net")
     return Network(sched, rng, metrics, **kwargs), sched, metrics
+
+
+def partition(net, groups, population=()):
+    """Inject a symmetric :class:`PartitionFault` over explicit groups on
+    a bare network; ``population`` is the rest a single group is cut
+    from."""
+    ctx = SimpleNamespace(network=net, population=lambda: list(population))
+    fault = PartitionFault(groups=groups)
+    fault.inject(ctx)
+    return fault, ctx
 
 
 def test_delivery_with_fixed_latency():
@@ -90,7 +103,7 @@ def test_partition_blocks_cross_group_traffic():
     inbox = []
     for node_id in (1, 2, 3):
         net.register(node_id, lambda msg, src: inbox.append(src))
-    net.set_partitions([[1], [2, 3]])
+    partition(net, [[1], [2, 3]])
     assert net.send(1, 2, Probe()) is False
     assert net.send(2, 3, Probe()) is True
     sched.run()
@@ -103,32 +116,31 @@ def test_heal_partitions_restores_connectivity():
     inbox = []
     net.register(1, lambda msg, src: inbox.append(src))
     net.register(2, lambda msg, src: inbox.append(src))
-    net.set_partitions([[1], [2]])
-    net.heal_partitions()
+    fault, ctx = partition(net, [[1], [2]])
+    fault.heal(ctx)
     net.send(1, 2, Probe())
     sched.run()
     assert inbox == [1]
 
 
 def test_partition_rejects_node_in_multiple_groups():
-    # A node on both sides of a cut is a contradiction; the old last-wins
-    # behaviour let fault specs express impossible partitions silently.
+    # A node on both sides of a cut is a contradiction; without the check
+    # a fault spec could express an impossible partition silently.
     net, _, _ = make_network()
     with pytest.raises(ConfigurationError):
-        net.set_partitions([[1, 2], [2, 3]])
-    # The failed call must not leave a half-built partition behind.
+        PartitionFault(groups=[[1, 2], [2, 3]])
     assert net.send(1, 3, Probe()) is True
     # Duplicates within one group are harmless.
-    net.set_partitions([[1, 1, 2], [3]])
+    partition(net, [[1, 1, 2], [3]])
     assert net.send(1, 2, Probe()) is True
     assert net.send(1, 3, Probe()) is False
 
 
 def test_failed_partition_keeps_previous_partition():
     net, _, _ = make_network()
-    net.set_partitions([[1], [2]])
+    partition(net, [[1], [2]])
     with pytest.raises(ConfigurationError):
-        net.set_partitions([[1, 2], [2]])
+        PartitionFault(groups=[[1, 2], [2]])
     assert net.send(1, 2, Probe()) is False  # old cut still in force
 
 
@@ -137,8 +149,8 @@ def test_unmentioned_nodes_form_implicit_group():
     inbox = []
     for node_id in (1, 2, 3):
         net.register(node_id, lambda msg, src: inbox.append(src))
-    net.set_partitions([[1]])
-    net.send(2, 3, Probe())  # both in the implicit group
+    partition(net, [[1]], population=(1, 2, 3))
+    net.send(2, 3, Probe())  # both in the rest of the population
     assert net.send(1, 3, Probe()) is False
     sched.run()
     assert inbox == [2]
@@ -187,7 +199,7 @@ class TestDirectedBlocks:
 
     def test_rules_compose_with_partition_groups(self):
         net, _, _ = make_network()
-        net.set_partitions([[1], [2, 3]])
+        partition(net, [[1], [2, 3]])
         net.block([2], [3])
         assert net.send(1, 2, Probe()) is False  # group cut
         assert net.send(2, 3, Probe()) is False  # directed rule
@@ -198,12 +210,13 @@ class TestDirectedBlocks:
         inbox = []
         for node_id in (1, 2):
             net.register(node_id, lambda msg, src: inbox.append(src))
-        net.set_partitions([[1], [2]])
-        net.block([2], [1])
+        fault, ctx = partition(net, [[1], [2]])
+        rule = net.block([2], [1])
         net.send(1, 2, Probe())
         net.send(2, 1, Probe())
         assert metrics.total("msg.dropped.partition") == 2
-        net.heal_partitions()
+        fault.heal(ctx)
+        net.unblock(rule)
         # Post-heal delivery: both directions flow again.
         net.send(1, 2, Probe())
         net.send(2, 1, Probe())
@@ -215,7 +228,7 @@ class TestDirectedBlocks:
 class TestPerTypeDropAccounting:
     def test_partition_drops_are_counted_per_type(self):
         net, _, metrics = make_network()
-        net.set_partitions([[1], [2]])
+        net.block([1], [2])
         net.send(1, 2, Probe())
         assert metrics.total("msg.dropped.partition.Probe") == 1
         assert metrics.total("msg.dropped.partition") == 1
@@ -232,46 +245,21 @@ class TestPerTypeDropAccounting:
 class TestLinkConditions:
     def test_node_loss_combines_with_global_loss(self):
         net, _, _ = make_network(loss_rate=0.1)
-        net.set_node_conditions(2, loss=0.5)
+        net.add_conditions([2], loss=0.5)
         assert net._loss_for(1, 3) == pytest.approx(0.1)
         assert net._loss_for(1, 2) == pytest.approx(1 - 0.9 * 0.5)
         assert net._loss_for(2, 1) == pytest.approx(1 - 0.9 * 0.5)
 
-    def test_link_loss_is_directional(self):
-        net, _, _ = make_network()
-        net.set_link_conditions(1, 2, loss=1.0)  # blackhole link allowed
-        assert net._loss_for(1, 2) == 1.0
-        assert net._loss_for(2, 1) == 0.0
-        assert net.send(1, 2, Probe()) is False
-
     def test_extra_latency_sums_over_conditions(self):
         net, sched, _ = make_network(latency_model=FixedLatency(0.1))
-        net.set_node_conditions(1, extra_latency=0.2)
-        net.set_node_conditions(2, extra_latency=0.3)
-        net.set_link_conditions(1, 2, extra_latency=0.4)
+        net.add_conditions([1], extra_latency=0.2)
+        net.add_conditions([2], extra_latency=0.3)
+        net.add_conditions([1, 2], extra_latency=0.4)
         arrivals = []
         net.register(2, lambda msg, src: arrivals.append(sched.now))
         net.send(1, 2, Probe())
         sched.run()
         assert arrivals == [pytest.approx(1.0)]
-
-    def test_zero_conditions_clear_the_entry(self):
-        net, _, _ = make_network()
-        net.set_node_conditions(1, loss=0.5)
-        net.set_node_conditions(1)
-        assert net._loss_for(1, 2) == 0.0
-        net.set_link_conditions(1, 2, loss=0.5)
-        net.set_link_conditions(1, 2)
-        assert net._loss_for(1, 2) == 0.0
-
-    def test_clear_conditions_removes_everything(self):
-        net, _, _ = make_network()
-        net.set_node_conditions(1, loss=0.5, extra_latency=0.1)
-        net.set_link_conditions(2, 3, loss=0.5)
-        net.clear_conditions()
-        assert net._loss_for(1, 2) == 0.0
-        assert net._loss_for(2, 3) == 0.0
-        assert net._extra_latency_for(1, 2) == 0.0
 
     def test_burst_loss_window(self):
         net, _, metrics = make_network()
@@ -308,13 +296,15 @@ class TestLinkConditions:
     def test_invalid_conditions_rejected(self):
         net, _, _ = make_network()
         with pytest.raises(ConfigurationError):
-            net.set_node_conditions(1, loss=1.5)
+            net.add_conditions([1], loss=1.5)
         with pytest.raises(ConfigurationError):
-            net.set_link_conditions(1, 2, extra_latency=-0.1)
+            net.add_conditions([1, 2], extra_latency=-0.1)
         with pytest.raises(ConfigurationError):
             net.add_burst_loss(2.0)
         with pytest.raises(ConfigurationError):
             net.add_conditions([1], loss=-0.5)
+        net.add_conditions([1], loss=1.0)  # a blackholed node is allowed
+        assert net.send(1, 2, Probe()) is False
 
 
 class TestFastSlowPathEquivalence:
@@ -354,7 +344,6 @@ class TestFastSlowPathEquivalence:
         slow.add_conditions([0, 1, 2], loss=0.0, extra_latency=0.0)
         slow.add_burst_loss(0.0)
         slow.block([], [])
-        slow.set_link_conditions(0, 1, loss=0.0, extra_latency=0.0)  # clears to empty
         assert fast._fault_free is True
         assert slow._fault_free is False
 
@@ -370,17 +359,13 @@ class TestFastSlowPathEquivalence:
         net, _, _ = make_network()
         assert net._fault_free is True
         token = net.add_conditions([1], loss=0.5)
-        net.set_partitions([[1], [2]])
         rule = net.block([1], [2])
         burst = net.add_burst_loss(0.2)
-        net.set_node_conditions(3, loss=0.1)
-        net.set_link_conditions(1, 2, extra_latency=0.5)
         assert net._fault_free is False
         net.remove_conditions(token)
-        net.heal_partitions()
         net.unblock(rule)
+        assert net._fault_free is False  # the burst window is still open
         net.remove_burst_loss(burst)
-        net.clear_conditions()
         assert net._fault_free is True
 
     def test_counters_match_pre_overhaul_semantics(self):

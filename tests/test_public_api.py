@@ -1,10 +1,18 @@
 """Tests for the package's public surface."""
 
+import os
+import subprocess
+import sys
+
+import pytest
+
 import repro
+
+EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
 def test_version_string():
-    assert repro.__version__ == "1.9.0"
+    assert repro.__version__ == "1.10.0"
 
 
 def test_every_module_all_resolves():
@@ -94,11 +102,27 @@ def test_errors_hierarchy():
 
 def test_examples_compile():
     # Every example must at least be valid Python importable as source.
-    import os
     import py_compile
 
-    examples_dir = os.path.join(os.path.dirname(__file__), "..", "examples")
-    files = [f for f in os.listdir(examples_dir) if f.endswith(".py")]
+    files = [f for f in os.listdir(EXAMPLES_DIR) if f.endswith(".py")]
     assert len(files) >= 3  # the deliverable: three or more examples
     for name in files:
-        py_compile.compile(os.path.join(examples_dir, name), doraise=True)
+        py_compile.compile(os.path.join(EXAMPLES_DIR, name), doraise=True)
+
+
+@pytest.mark.parametrize(
+    "name", ["quickstart", "backend_quickstart", "persistent_store", "stratus_stack"]
+)
+def test_facade_example_runs(name):
+    # The examples that drive the stack classes directly run end to end
+    # (about a second each), so a facade change that breaks them fails here.
+    src = os.path.join(os.path.dirname(repro.__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(EXAMPLES_DIR, f"{name}.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -53,11 +53,12 @@ def fault_specs(draw):
     )
     if kind == "partition":
         entry["symmetric"] = draw(st.booleans())
+        # Groups are disjoint: a node cannot sit on both sides of a cut.
         groups = draw(
             st.lists(
                 st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True),
                 max_size=2,
-            )
+            ).filter(lambda gs: len({n for g in gs for n in g}) == sum(map(len, gs)))
         )
         if groups:
             entry["groups"] = groups
@@ -220,6 +221,10 @@ class TestMalformedFaults:
     def test_empty_target_group_rejected(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):
             spec_from_dict(self.base(kind="partition", groups=[[1, 2], []]))
+
+    def test_overlapping_target_groups_rejected(self):
+        with pytest.raises(ConfigurationError, match="groups must be disjoint"):
+            spec_from_dict(self.base(kind="partition", groups=[[1, 2], [2, 3]]))
 
     def test_unknown_fault_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fault fields"):
